@@ -285,13 +285,23 @@ func (r *REDS) labelPointsCtx(ctx context.Context, model metamodel.Model, pts []
 // same dataset. Labeling progress and the worker budget come from
 // hooks; ctx cancels between chunks.
 func PseudoLabel(ctx context.Context, model metamodel.Model, smp sample.Sampler, l, dim int, seed int64, probLabels bool, hooks *Hooks) (*dataset.Dataset, error) {
-	if smp == nil {
-		smp = sample.LatinHypercube{}
-	}
-	pts := smp.Sample(l, dim, rand.New(rand.NewSource(seed)))
+	pts := SamplePoints(smp, l, dim, seed)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	r := &REDS{ProbLabels: probLabels, Hooks: hooks}
 	return r.labelPointsCtx(ctx, model, pts)
+}
+
+// SamplePoints is PseudoLabel's sample stage (Algorithm 4, line 3): the
+// l points of width dim that smp (Latin hypercube when nil) draws from
+// an RNG seeded with seed alone. The sample is a pure function of its
+// arguments, so a caller holding only the labels of a PseudoLabel run
+// rebuilds that run's Dnew exactly by pairing them with SamplePoints
+// under the same arguments.
+func SamplePoints(smp sample.Sampler, l, dim int, seed int64) [][]float64 {
+	if smp == nil {
+		smp = sample.LatinHypercube{}
+	}
+	return smp.Sample(l, dim, rand.New(rand.NewSource(seed)))
 }

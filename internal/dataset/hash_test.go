@@ -52,8 +52,8 @@ func TestDatasetJSONRoundTrip(t *testing.T) {
 
 func TestDatasetJSONRejectsMalformed(t *testing.T) {
 	cases := []string{
-		`{"x": [[1,2],[3]], "y": [0,1]}`,           // ragged rows
-		`{"x": [[1,2]], "y": [0,1]}`,               // label count mismatch
+		`{"x": [[1,2],[3]], "y": [0,1]}`,              // ragged rows
+		`{"x": [[1,2]], "y": [0,1]}`,                  // label count mismatch
 		`{"x": [[1,2]], "y": [0], "discrete":[true]}`, // mask width mismatch
 	}
 	for i, c := range cases {

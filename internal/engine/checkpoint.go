@@ -1,10 +1,9 @@
 package engine
 
 import (
+	"encoding/json"
 	"sync"
 	"time"
-
-	"github.com/reds-go/reds/internal/dataset"
 )
 
 // Checkpoint is a resumable snapshot of a partially executed request.
@@ -15,7 +14,7 @@ import (
 // only what the checkpoint cannot prove finished.
 //
 // A checkpoint is self-validating: DatasetHash pins it to the training
-// data, and the cache keys pin the labeled datasets to the exact
+// data, and the cache keys pin the pseudo-labels to the exact
 // model/sampler/seed tuple, so a worker never resumes from a snapshot
 // computed under different inputs.
 type Checkpoint struct {
@@ -42,19 +41,44 @@ type Checkpoint struct {
 	// LabelKeys maps metamodel family → content-addressed label-dataset
 	// cache key (see internal/engine/cache.go for the key scheme).
 	LabelKeys map[string]string `json:"label_keys,omitempty"`
-	// Labeled inlines the pseudo-labeled datasets themselves, per
-	// family, up to the executor's checkpoint byte budget. This is what
-	// lets a cold replacement worker skip the train/sample/label stages
-	// entirely: the discover stage needs only Dnew and the real
-	// validation data, not the trained model. Families whose dataset did
-	// not fit the budget keep only their keys — a warm worker still
-	// hits its caches, a cold one recomputes.
-	Labeled map[string]*dataset.Dataset `json:"labeled,omitempty"`
+	// Labels carries the pseudo-labels themselves, per family, in sample
+	// order, up to the executor's checkpoint byte budget (8 B a label).
+	// Only the labels travel: the sample they label is a pure function of
+	// what the family's label key already pins — sampler, L, dimension
+	// and label seed (core.SamplePoints) — so a cold replacement worker
+	// rebuilds Dnew from them and skips the train/sample/label stages
+	// entirely. The discover stage needs only Dnew and the real
+	// validation data, not the trained model. Families whose labels did
+	// not fit the budget keep only their keys: a warm worker still hits
+	// its caches, a cold one recomputes.
+	Labels map[string][]float64 `json:"labels,omitempty"`
+	// LabelReports tells, per family with Labels, how the labels were
+	// made. A variant resumed from them reports it verbatim, so its
+	// result matches the execution that labeled.
+	LabelReports map[string]LabelReport `json:"label_reports,omitempty"`
 	// ElapsedSeconds accumulates the wall-clock time every execution of
 	// the job has spent so far. A resumed execution subtracts it from
 	// the request's deadline budget, so a job deadline bounds the job —
 	// not each failover attempt separately.
 	ElapsedSeconds float64 `json:"elapsed_seconds,omitempty"`
+}
+
+// LabelReport is what a variant reports about its pseudo-labels: the
+// kernel that labeled them ("full" or "distilled", after any fallback)
+// and, when a distillation was involved, its holdout fidelity, its
+// exported rules (distilled kernel only) and the reason it was rejected
+// (if it was).
+type LabelReport struct {
+	Kernel         string          `json:"kernel"`
+	Fidelity       float64         `json:"fidelity,omitempty"`
+	FallbackReason string          `json:"fallback_reason,omitempty"`
+	Rules          json.RawMessage `json:"rules,omitempty"`
+}
+
+// resumable is one family's checkpointed labels with their report.
+type resumable struct {
+	labels []float64
+	report LabelReport
 }
 
 // checkpointRecorder accumulates one execution's reusable work and
@@ -67,36 +91,41 @@ type checkpointRecorder struct {
 	sink        *progressSink
 	seq         uint64
 	datasetHash string
-	// budgetLeft bounds the total bytes of inline labeled datasets.
+	// budgetLeft bounds the total bytes of checkpointed labels.
 	budgetLeft int64
 	variants   []VariantResult
 	modelKeys  map[string]string
 	labelKeys  map[string]string
-	labeled    map[string]*dataset.Dataset
-	// inbound maps label-cache key → dataset from the checkpoint this
+	labels     map[string]resumable
+	// inbound maps label-cache key → labels from the checkpoint this
 	// execution resumed from. Keying by the full cache key (rather than
 	// family) makes the lookup self-validating: if this worker computes
-	// a different key — different seed, sampler, L — the stale dataset
-	// is simply not found and the stage recomputes.
-	inbound map[string]*dataset.Dataset
+	// a different key — different seed, sampler, L — the stale labels
+	// are simply not found and the stage recomputes.
+	inbound map[string]resumable
 	// start anchors this execution's contribution to ElapsedSeconds;
 	// baseElapsed carries what earlier executions already spent.
 	start       time.Time
 	baseElapsed float64
 }
 
-// newCheckpointRecorder seeds a recorder for one execution. cp is the
-// inbound checkpoint (nil for a fresh run) — its hash must already be
-// validated by the caller.
-func newCheckpointRecorder(cp *Checkpoint, datasetHash string, budget int64, sink *progressSink) *checkpointRecorder {
+// labelBytes is the checkpoint budget weight of one family's labels.
+func labelBytes(y []float64) int64 { return 8 * int64(len(y)) }
+
+// newCheckpointRecorder seeds a recorder for one execution of a request
+// that labels l points per family. cp is the inbound checkpoint (nil for
+// a fresh run) — its hash must already be validated by the caller.
+// Inbound labels count only when they cover the whole sample: a set of
+// any other length is dropped, so its family recomputes.
+func newCheckpointRecorder(cp *Checkpoint, datasetHash string, l int, budget int64, sink *progressSink) *checkpointRecorder {
 	r := &checkpointRecorder{
 		sink:        sink,
 		datasetHash: datasetHash,
 		budgetLeft:  budget,
 		modelKeys:   make(map[string]string),
 		labelKeys:   make(map[string]string),
-		labeled:     make(map[string]*dataset.Dataset),
-		inbound:     make(map[string]*dataset.Dataset),
+		labels:      make(map[string]resumable),
+		inbound:     make(map[string]resumable),
 		start:       time.Now(),
 	}
 	if cp == nil {
@@ -110,43 +139,48 @@ func newCheckpointRecorder(cp *Checkpoint, datasetHash string, budget int64, sin
 	}
 	for fam, k := range cp.LabelKeys {
 		r.labelKeys[fam] = k
-		if d := cp.Labeled[fam]; d != nil {
-			r.inbound[k] = d
-			// Carry the inline dataset forward so the next failover can
-			// still resume cold; it already fit the previous budget.
-			r.labeled[fam] = d
-			r.budgetLeft -= datasetBytes(d)
+		if y := cp.Labels[fam]; len(y) == l {
+			in := resumable{labels: y, report: cp.LabelReports[fam]}
+			r.inbound[k] = in
+			// Carry the labels forward so the next failover can still
+			// resume cold; they already fit the previous budget.
+			r.labels[fam] = in
+			r.budgetLeft -= labelBytes(y)
 		}
 	}
 	return r
 }
 
-// resumeLabeled returns the inbound checkpoint's labeled dataset for
-// the given label-cache key, or nil when the checkpoint has none (or
-// was computed under different inputs).
-func (r *checkpointRecorder) resumeLabeled(labelKey string) *dataset.Dataset {
+// resumeLabels returns the inbound checkpoint's labels for the given
+// label-cache key with their report; ok is false when the checkpoint
+// has none (or they were computed under different inputs).
+func (r *checkpointRecorder) resumeLabels(labelKey string) (y []float64, rep LabelReport, ok bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.inbound[labelKey]
+	in, ok := r.inbound[labelKey]
+	return in.labels, in.report, ok
 }
 
-// labelStageDone records that a family's pseudo-labeling finished (keys
-// always; the dataset itself while the byte budget lasts) and publishes
-// a new snapshot. Idempotent per family — concurrent variants of one
-// family record once.
-func (r *checkpointRecorder) labelStageDone(family, modelKey, labelKey string, d *dataset.Dataset) {
+// labelStageDone records that a family's pseudo-labeling finished under
+// labelKey (keys always; the labels y and their report while the byte
+// budget lasts) and publishes a new snapshot. Idempotent per family and
+// key — concurrent variants of one family record once — while a
+// different key replaces whatever the family carried before.
+func (r *checkpointRecorder) labelStageDone(family, modelKey, labelKey string, y []float64, rep LabelReport) {
 	r.mu.Lock()
-	if _, ok := r.labelKeys[family]; ok {
+	old, has := r.labels[family]
+	if r.labelKeys[family] == labelKey && (has || labelBytes(y) > r.budgetLeft) {
+		// Already recorded, or recording again would change nothing.
 		r.mu.Unlock()
 		return
 	}
+	r.budgetLeft += labelBytes(old.labels)
+	delete(r.labels, family)
 	r.modelKeys[family] = modelKey
 	r.labelKeys[family] = labelKey
-	if d != nil {
-		if w := datasetBytes(d); w <= r.budgetLeft {
-			r.labeled[family] = d
-			r.budgetLeft -= w
-		}
+	if w := labelBytes(y); w <= r.budgetLeft {
+		r.labels[family] = resumable{labels: y, report: rep}
+		r.budgetLeft -= w
 	}
 	cp := r.snapshotLocked()
 	r.mu.Unlock()
@@ -182,10 +216,12 @@ func (r *checkpointRecorder) snapshotLocked() *Checkpoint {
 	for fam, k := range r.labelKeys {
 		cp.LabelKeys[fam] = k
 	}
-	if len(r.labeled) > 0 {
-		cp.Labeled = make(map[string]*dataset.Dataset, len(r.labeled))
-		for fam, d := range r.labeled {
-			cp.Labeled[fam] = d
+	if len(r.labels) > 0 {
+		cp.Labels = make(map[string][]float64, len(r.labels))
+		cp.LabelReports = make(map[string]LabelReport, len(r.labels))
+		for fam, in := range r.labels {
+			cp.Labels[fam] = in.labels
+			cp.LabelReports[fam] = in.report
 		}
 	}
 	return cp

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"time"
@@ -18,25 +17,15 @@ import (
 const distillSeedOffset = 7919
 
 // kernelResolution is the outcome of choosing a labeling kernel for
-// one variant: which kernel actually runs, the model that implements
-// it, and — when a distillation was involved — its measured fidelity,
-// exported rules, and the reason it was rejected (if it was).
+// one variant: what the variant reports about its labels (which kernel
+// actually runs and — when a distillation was involved — its measured
+// fidelity, exported rules, and the reason it was rejected, if it was)
+// and the model that implements the kernel.
 type kernelResolution struct {
-	// kernel is "full" or "distilled" — the kernel that labels, after
-	// any fallback.
-	kernel string
+	LabelReport
 	// model is the labeling model: the distilled ruleset.Model, or the
 	// parent ensemble itself.
 	model metamodel.Model
-	// fidelity is the distillation's holdout label agreement with the
-	// parent (0 when no distillation ran).
-	fidelity float64
-	// fallbackReason is non-empty when a requested distilled kernel was
-	// not used ("unsupported", "fidelity ... below threshold ...").
-	fallbackReason string
-	// rulesJSON is the canonical rule-set export of the kernel that
-	// labels; nil unless kernel == "distilled".
-	rulesJSON json.RawMessage
 }
 
 // resolveKernel picks the labeling kernel for one variant. Full-kernel
@@ -48,7 +37,7 @@ type kernelResolution struct {
 // did, it just labels the expensive way and says so.
 func (x *LocalExecutor) resolveKernel(req Request, modelKey string, parent metamodel.Model, dim int, distillSeed int64) kernelResolution {
 	if req.effectiveLabelKernel() != "distilled" {
-		return kernelResolution{kernel: "full", model: parent}
+		return kernelResolution{LabelReport{Kernel: "full"}, parent}
 	}
 	key := fmt.Sprintf("%s|distill|maxrules=%d|dseed=%d", modelKey, req.DistillMaxRules, distillSeed)
 	m, _, err := x.rulesets.getOrDistill(key, func() (*ruleset.Model, error) {
@@ -75,22 +64,20 @@ func (x *LocalExecutor) resolveKernel(req Request, modelKey string, parent metam
 		if errors.Is(err, ruleset.ErrNotDistillable) {
 			reason = "unsupported"
 		}
-		return kernelResolution{kernel: "full", model: parent, fallbackReason: reason}
+		return kernelResolution{LabelReport{Kernel: "full", FallbackReason: reason}, parent}
 	}
 	st := m.Stats()
 	if threshold := req.effectiveDistillFidelity(x.distillFidelity); st.LabelFidelity < threshold {
 		x.mDistillFallback.Inc()
-		return kernelResolution{
-			kernel:         "full",
-			model:          parent,
-			fidelity:       st.LabelFidelity,
-			fallbackReason: fmt.Sprintf("fidelity %.4f below threshold %.4g", st.LabelFidelity, threshold),
-		}
+		return kernelResolution{LabelReport{
+			Kernel:         "full",
+			Fidelity:       st.LabelFidelity,
+			FallbackReason: fmt.Sprintf("fidelity %.4f below threshold %.4g", st.LabelFidelity, threshold),
+		}, parent}
 	}
-	return kernelResolution{
-		kernel:    "distilled",
-		model:     m,
-		fidelity:  st.LabelFidelity,
-		rulesJSON: m.ExportJSON(),
-	}
+	return kernelResolution{LabelReport{
+		Kernel:   "distilled",
+		Fidelity: st.LabelFidelity,
+		Rules:    m.ExportJSON(),
+	}, m}
 }

@@ -533,22 +533,31 @@ func (e *Engine) execute(j *job) {
 
 	result, err := e.exec.Execute(telemetry.WithRequestID(j.ctx, rid), req, onProgress)
 
-	j.mu.Lock()
-	j.finishedAt = time.Now()
+	finishedAt := time.Now()
+	var status Status
 	switch {
 	case j.ctx.Err() != nil:
-		j.status = StatusCanceled
+		status = StatusCanceled
 	case err != nil:
-		j.status = StatusFailed
-		j.err = err
+		status = StatusFailed
 	default:
-		j.status = StatusDone
+		status = StatusDone
+	}
+	e.settle(j, status, finishedAt, result, err, persistedSeq > 0 || req.Checkpoint != nil)
+
+	// Only now, with the store settled, does the terminal status become
+	// visible: a caller that observes it finds the result stored and the
+	// checkpoint gone.
+	j.mu.Lock()
+	j.status = status
+	j.finishedAt = finishedAt
+	switch status {
+	case StatusFailed:
+		j.err = err
+	case StatusDone:
 		j.result = result
 	}
 	duration := j.finishedAt.Sub(j.startedAt)
-	rec = j.transitionLocked()
-	done := j.status == StatusDone
-	status := j.status
 	j.mu.Unlock()
 	j.fireDone()
 	e.running.Add(-1)
@@ -561,23 +570,37 @@ func (e *Engine) execute(j *job) {
 		e.log.Info("job finished", "job_id", string(j.id), "request_id", rid,
 			"status", string(status), "duration_ms", duration.Milliseconds())
 	}
+}
 
-	// Result before record: once the record says done, the result is
-	// guaranteed to be in the store (a crash in between re-runs nothing
-	// and loses nothing — the job is still recorded as running and gets
-	// orphaned on recovery). If the result cannot be persisted, the
-	// record is deliberately NOT advanced to done either: this process
-	// still serves the in-memory result, and the store's stale running
-	// record becomes an honest orphaned-failed job on the next boot
-	// instead of a done job whose result can never load.
-	if done {
-		raw, err := json.Marshal(result)
-		if err == nil {
-			err = e.store.PutResult(string(j.id), raw)
+// settle persists a finished execution's terminal state — result,
+// record, and the deletion of a checkpoint the job no longer needs —
+// before the caller publishes that state in memory.
+//
+// Result before record: once the record says done, the result is
+// guaranteed to be in the store (a crash in between re-runs nothing and
+// loses nothing — the job is still recorded as running and gets
+// orphaned on recovery). If the result cannot be persisted, the record
+// is deliberately NOT advanced to done either: this process still
+// serves the in-memory result, and the store's stale running record
+// becomes an honest orphaned-failed job on the next boot instead of a
+// done job whose result can never load.
+func (e *Engine) settle(j *job, status Status, finishedAt time.Time, result *Result, err error, hasCheckpoint bool) {
+	j.mu.Lock()
+	rec := j.transitionLocked()
+	j.mu.Unlock()
+	rec.Status = string(status)
+	rec.FinishedAt = finishedAt
+	if status == StatusFailed {
+		rec.Error = err.Error()
+	}
+	if status == StatusDone {
+		raw, perr := json.Marshal(result)
+		if perr == nil {
+			perr = e.store.PutResult(string(j.id), raw)
 		}
-		if err != nil {
+		if perr != nil {
 			e.log.Error("persisting result failed, leaving stored record running",
-				"job_id", string(j.id), "error", err)
+				"job_id", string(j.id), "error", perr)
 			// The checkpoint is deliberately kept: the stored record still
 			// says running, so the next boot resumes from it.
 			return
@@ -585,7 +608,7 @@ func (e *Engine) execute(j *job) {
 	}
 	e.persist(rec)
 	// Terminal jobs have no use for their checkpoint anymore.
-	if persistedSeq > 0 || req.Checkpoint != nil {
+	if hasCheckpoint {
 		if cerr := e.store.PutCheckpoint(string(j.id), nil); cerr != nil {
 			e.log.Error("deleting checkpoint failed", "job_id", string(j.id), "error", cerr)
 		}

@@ -230,10 +230,11 @@ type LocalExecutorOptions struct {
 	// LabelCacheTTL expires cached pseudo-labeled datasets this long
 	// after labeling (0 = never).
 	LabelCacheTTL time.Duration
-	// CheckpointBytes bounds the total size of pseudo-labeled datasets
-	// inlined into one execution's checkpoints (default 32 MiB). Within
-	// the budget a cold replacement worker resumes without retraining or
-	// relabeling; beyond it, checkpoints carry only the cache keys.
+	// CheckpointBytes bounds the pseudo-labels one execution's
+	// checkpoints carry, at 8 B a label (default 32 MiB: four million
+	// labels, forty families at the paper's L=10^5). Within the budget a
+	// cold replacement worker resumes without retraining or relabeling;
+	// beyond it, checkpoints carry only the cache keys.
 	CheckpointBytes int64
 	// RulesetCacheBytes bounds the distilled rule-set cache (default 64
 	// MiB — distilled models are small; this is hundreds of entries).
@@ -311,7 +312,7 @@ type LocalExecutor struct {
 	trainQuality float64
 	trainModeMu  sync.Mutex
 	trainModes   map[string]trainResolution
-	// checkpointBytes bounds the inline labeled data per checkpoint.
+	// checkpointBytes bounds the labels carried per checkpoint.
 	checkpointBytes int64
 	// stageSeconds is the per-stage latency histogram
 	// (reds_exec_stage_seconds{stage,metamodel,sd}); children are

@@ -38,8 +38,8 @@ import (
 
 // maxExecBodyBytes bounds /internal/v1/execute payloads. Larger than
 // the public submit cap: a dispatched request carries the inline
-// dataset plus — on failover — a checkpoint inlining up to the
-// executor's labeled-dataset byte budget (32 MiB by default).
+// dataset plus — on failover — a checkpoint carrying up to the
+// executor's pseudo-label byte budget (32 MiB by default).
 const maxExecBodyBytes = 256 << 20
 
 // execStatusResponse is the wire form of one execution's state, shared
@@ -53,9 +53,10 @@ type execStatusResponse struct {
 	// when the header was absent.
 	RequestID string `json:"request_id,omitempty"`
 	// CheckpointSeq is the sequence number of the newest resumable
-	// checkpoint (0 when none). Checkpoints can carry megabytes of
-	// labeled data, so the poll response only advertises the seq; the
-	// gateway fetches the snapshot from /checkpoint when it advances.
+	// checkpoint (0 when none). Checkpoints carry the pseudo-labels (8 B
+	// each, 0.8 MB per family at L=10^5), so the poll response only
+	// advertises the seq; the gateway fetches the snapshot from
+	// /checkpoint when it advances.
 	CheckpointSeq uint64 `json:"checkpoint_seq,omitempty"`
 	// Result is set once Status is done; Error once it is failed.
 	Result *Result `json:"result,omitempty"`
@@ -235,7 +236,7 @@ func (s *ExecServer) handleStart(w http.ResponseWriter, r *http.Request) {
 	}
 	// Bound the body like the public submit route, but with headroom for
 	// infrastructure payloads: a forwarded request can carry an inline
-	// dataset plus a checkpoint with inlined labeled datasets.
+	// dataset plus a checkpoint with its pseudo-labels.
 	r.Body = http.MaxBytesReader(w, r.Body, maxExecBodyBytes)
 	var req Request
 	dec := json.NewDecoder(r.Body)

@@ -430,7 +430,7 @@ func (j *job) snapshot() Snapshot {
 		s.Request.Dataset = nil
 	}
 	// Checkpoints are infrastructure state, not part of the submission —
-	// and can carry megabytes of labeled data; never echo them.
+	// and carry a job's pseudo-labels; never echo them.
 	s.Request.Checkpoint = nil
 	if j.err != nil {
 		s.Error = j.err.Error()

@@ -219,7 +219,7 @@ func (x *LocalExecutor) execute(ctx context.Context, req Request, onProgress fun
 			sink.preload(cp.Timings)
 		}
 	}
-	ckpt := newCheckpointRecorder(cp, hash, x.checkpointBytes, sink)
+	ckpt := newCheckpointRecorder(cp, hash, l, x.checkpointBytes, sink)
 	finished := make(map[variantSpec]VariantResult)
 	if cp != nil {
 		for _, vr := range cp.Variants {
@@ -313,7 +313,7 @@ type variantConfig struct {
 	trainSeed    int64
 	labelWorkers int
 	// checkpoints records this execution's reusable work and serves the
-	// inbound checkpoint's labeled datasets for stage skipping.
+	// inbound checkpoint's labels for stage skipping.
 	checkpoints *checkpointRecorder
 }
 
@@ -419,7 +419,7 @@ func (x *LocalExecutor) runVariant(ctx context.Context, req Request, sink *progr
 			// the distiller needs the trained model. The resolution is
 			// cached (ruleset cache) and deterministic per family.
 			resolved = x.resolveKernel(req, trainer.key, model, dim, cfg.trainSeed+distillSeedOffset)
-			labelKey := baseLabelKey + "|kernel=" + resolved.kernel
+			labelKey := baseLabelKey + "|kernel=" + resolved.Kernel
 			d, hit, err := x.labels.getOrLabel(labelKey, func() (*dataset.Dataset, error) {
 				d, err := core.PseudoLabel(ctx, resolved.model, smp, l, dim, labelSeed, req.ProbLabels, hooks)
 				if err != nil {
@@ -438,39 +438,46 @@ func (x *LocalExecutor) runVariant(ctx context.Context, req Request, sink *progr
 				// job-level counters still add up.
 				hooks.OnLabelProgress(l, l)
 			}
-			cfg.checkpoints.labelStageDone(v.metamodel, trainer.key, labelKey, d)
+			cfg.checkpoints.labelStageDone(v.metamodel, trainer.key, labelKey, d.Y, resolved.LabelReport)
 			return d, nil
 		},
 		Hooks: hooks,
 	}
-	// A checkpointed labeled dataset under an exact cache key lets the
-	// pipeline skip train/sample/label outright — the discover stage
-	// validates on the real examples, so the metamodel itself is not
-	// needed. Label keys are kernel-qualified, so a distilled request
-	// tries its distilled key first and falls back to a full-kernel
-	// dataset (always acceptable: full labels are the ground truth the
-	// distilled kernel approximates); a full request never resumes from
-	// distilled labels. Seed the label cache so later jobs over the same
-	// data (and sibling variants) hit it.
+	// Checkpointed labels under an exact cache key let the pipeline skip
+	// train/sample/label outright: the key pins the sampler, L and label
+	// seed, so SamplePoints rebuilds the very points they label, and the
+	// discover stage validates on the real examples, so the metamodel
+	// itself is not needed. Label keys are kernel-qualified, so a
+	// distilled request tries its distilled key first and falls back to
+	// full-kernel labels (always acceptable: full labels are the ground
+	// truth the distilled kernel approximates); a full request never
+	// resumes from distilled labels. The rebuilt dataset seeds the label
+	// cache, so later jobs over the same data (and sibling variants, which
+	// share the rebuild) hit it — and a warm worker skips the rebuild.
 	resumeKernels := []string{"full"}
 	if req.effectiveLabelKernel() == "distilled" {
 		resumeKernels = []string{"distilled", "full"}
 	}
 	for _, kernel := range resumeKernels {
 		key := baseLabelKey + "|kernel=" + kernel
-		pre := cfg.checkpoints.resumeLabeled(key)
-		if pre == nil {
+		y, rep, ok := cfg.checkpoints.resumeLabels(key)
+		if !ok {
 			continue
 		}
-		r.Prelabeled = pre
-		// The checkpoint proves which kernel labeled the data, but the
-		// distillation artifacts (fidelity, rules) were the previous
-		// execution's; this variant reports the kernel only.
-		resolved = kernelResolution{kernel: kernel}
-		_, hit, err := x.labels.getOrLabel(key, func() (*dataset.Dataset, error) { return pre, nil })
-		if err == nil {
-			labelHit.Store(hit)
+		d, hit, err := x.labels.getOrLabel(key, func() (*dataset.Dataset, error) {
+			pts := core.SamplePoints(smp, l, train.M(), labelSeed)
+			return &dataset.Dataset{X: pts, Y: y, Discrete: train.Discrete}, nil
+		})
+		if err != nil {
+			continue
 		}
+		r.Prelabeled = d
+		labelHit.Store(hit)
+		// The labeling execution's report (kernel, distillation fidelity,
+		// rules, fallback reason) travels with the labels, so this variant
+		// reports what a run without the failover would have.
+		rep.Kernel = kernel
+		resolved = kernelResolution{LabelReport: rep}
 		hooks.OnLabelProgress(l, l)
 		break
 	}
@@ -478,10 +485,10 @@ func (x *LocalExecutor) runVariant(ctx context.Context, req Request, sink *progr
 	timer.Stop() // close the discover span before the metric evaluation below
 	out.CacheHit = trainer.hit.Load()
 	out.LabelCacheHit = labelHit.Load()
-	out.LabelKernel = resolved.kernel
-	out.LabelFidelity = resolved.fidelity
-	out.FallbackReason = resolved.fallbackReason
-	out.Ruleset = resolved.rulesJSON
+	out.LabelKernel = resolved.Kernel
+	out.LabelFidelity = resolved.Fidelity
+	out.FallbackReason = resolved.FallbackReason
+	out.Ruleset = resolved.Rules
 	if err != nil {
 		out.Error = err.Error()
 		return out

@@ -91,8 +91,8 @@ type Store interface {
 	// PutCheckpoint stores the engine-encoded execution checkpoint of a
 	// job; a nil or empty payload deletes it. Checkpoints live and die
 	// with their job: Delete and Sweep remove them alongside the record,
-	// and List never returns them (they can carry megabytes of labeled
-	// data and only the job's own re-execution wants them).
+	// and List never returns them (they carry the job's pseudo-labels
+	// and only the job's own re-execution wants them).
 	PutCheckpoint(id string, cp json.RawMessage) error
 	// GetCheckpoint returns the stored checkpoint payload, ok=false when
 	// none exists.

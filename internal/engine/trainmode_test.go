@@ -1,11 +1,47 @@
 package engine
 
 import (
+	"context"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 )
+
+// TestBinnedJobIndependentOfGOMAXPROCS: one seeded binned rf job returns
+// the same result on one core as on four. Binned tree growth, the
+// shared-fold tuning cells, labeling and every SD algorithm fan out by
+// GOMAXPROCS; none of them may let the schedule into the result.
+// Probability labels on an 8-input function make the result sensitive
+// to any change in the forest.
+func TestBinnedJobIndependentOfGOMAXPROCS(t *testing.T) {
+	req := Request{
+		Function:   "borehole",
+		N:          300,
+		L:          3000,
+		Seed:       31,
+		ProbLabels: true,
+		Tuned:      true,
+		TrainMode:  "binned",
+		SD:         []string{"prim", "bumping", "bi"},
+	}
+	run := func(procs int) *Result {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		res, err := NewLocalExecutor(LocalExecutorOptions{}).Execute(context.Background(), req, nil)
+		if err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+		}
+		return res
+	}
+	one, four := run(1), run(4)
+	if one.Best.TrainMode != "binned" {
+		t.Fatalf("train mode = %q, want binned", one.Best.TrainMode)
+	}
+	if a, b := canonicalResult(t, one), canonicalResult(t, four); a != b {
+		t.Fatalf("binned job differs between GOMAXPROCS 1 and 4:\n  1: %s\n  4: %s", a, b)
+	}
+}
 
 // TestBinnedTrainingEndToEnd runs a real tuned job on the binned fast
 // path through the engine: the variant reports mode "binned" with the

@@ -13,7 +13,7 @@ import "math"
 type Ensemble struct {
 	Trees       [][]Node
 	Init, Scale float64
-	Margin bool
+	Margin      bool
 }
 
 // floatFromKey inverts orderKey for non-NaN inputs: a set top bit

@@ -247,6 +247,12 @@ func newBinnedTreeBuilder(bins *dataset.Bins, y []float64, m, nRows int, cfg tre
 // build grows one tree on the bootstrap rows idx (dataset row ids, with
 // multiplicity, in draw order).
 func (b *binnedTreeBuilder) build(idx []int, rng *binnedRNG) *tree {
+	// The feature permutation is per-tree state: restart it from the
+	// identity so a tree's feature samples depend on its own seed alone,
+	// not on which trees this builder's worker happened to grow before.
+	for f := range b.feats {
+		b.feats[f] = f
+	}
 	b.rows = append(b.rows[:0], idx...)
 	b.t = &tree{gains: make([]float64, b.m)}
 	b.rng = rng
@@ -260,7 +266,7 @@ func (b *binnedTreeBuilder) build(idx []int, rng *binnedRNG) *tree {
 	return b.t
 }
 
-// sampleFeats partially Fisher-Yates-shuffles the persistent feature
+// sampleFeats partially Fisher-Yates-shuffles the tree's feature
 // permutation and returns its first mtry entries — per-node feature
 // sampling without the rand.Perm allocation.
 func (b *binnedTreeBuilder) sampleFeats() []int {
