@@ -35,7 +35,7 @@ type Bins struct {
 
 // Bins returns the quantization of the dataset at the given per-feature
 // bin budget (clamped to [2, MaxBins]). It is computed once per budget —
-// O(M·N log N) via SortedOrders plus O(M·N) coding — cached on the
+// O(M·N): the SortedOrders radix sort plus one coding pass — cached on the
 // dataset and safe for concurrent use. The dataset must be treated as
 // immutable after the first call, like Columns and SortedOrders.
 func (d *Dataset) Bins(maxBins int) *Bins {
@@ -80,8 +80,8 @@ func (d *Dataset) buildBinsLocked(maxBins int) *Bins {
 			v := col[ord[k]]
 			k2 := k + 1
 			if math.IsNaN(v) {
-				// NaNs sort wherever the comparator left them; they are
-				// coded into the last bin regardless, so skip them here.
+				// NaNs sort last; they are coded into the last bin
+				// regardless, so they close no bin here.
 				for k2 < n && math.IsNaN(col[ord[k2]]) {
 					k2++
 				}

@@ -1,6 +1,11 @@
 package dataset
 
-import "sort"
+import (
+	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
+)
 
 // Columns returns a column-major view of X: Columns()[j][i] == X[i][j].
 // It is built lazily on first use, cached on the dataset, and safe for
@@ -39,11 +44,13 @@ func (d *Dataset) columnsLocked() [][]float64 {
 }
 
 // SortedOrders returns, for every input column j, the row indices sorted
-// ascending by X[i][j], with ties broken by row index so the order is a
-// deterministic total order. It is computed once — O(M·N log N) — cached
-// on the dataset and shared by every consumer (each random-forest tree,
-// each boosting round, each PRIM run), which is what lets the split and
-// peel loops drop their per-node / per-step sorts.
+// by X[i][j] in a deterministic total order: ascending value, -0 equal
+// to +0, ties broken by row index, and every NaN last (in row order).
+// It is computed once — an O(M·N) radix sort, columns spread over up to
+// GOMAXPROCS workers — cached on the dataset and shared by every
+// consumer (each random-forest tree, each boosting round, each PRIM
+// run), which is what lets the split and peel loops drop their
+// per-node / per-step sorts.
 //
 // Callers must not mutate the returned slices; derive copies instead.
 func (d *Dataset) SortedOrders() [][]int {
@@ -64,22 +71,108 @@ func (d *Dataset) sortedOrdersLocked() [][]int {
 	backing := make([]int, n*m)
 	ords := make([][]int, m)
 	for j := range ords {
-		ord := backing[j*n : (j+1)*n : (j+1)*n]
-		for i := range ord {
-			ord[i] = i
-		}
-		col := cols[j]
-		sort.Slice(ord, func(a, b int) bool {
-			va, vb := col[ord[a]], col[ord[b]]
-			if va != vb {
-				return va < vb
-			}
-			return ord[a] < ord[b]
-		})
-		ords[j] = ord
+		ords[j] = backing[j*n : (j+1)*n : (j+1)*n]
 	}
+	// Columns are claimed from an atomic counter by min(GOMAXPROCS, M)
+	// workers, the caller being one of them, each with its own scratch.
+	var next atomic.Int64
+	work := func() {
+		s := &radixScratch{src: make([]keyRow, n), dst: make([]keyRow, n)}
+		for j := int(next.Add(1)) - 1; j < m; j = int(next.Add(1)) - 1 {
+			s.sort(cols[j], ords[j])
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(runtime.GOMAXPROCS(0), m); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 	d.ords = ords
 	return ords
+}
+
+const (
+	radixBits    = 11
+	radixBuckets = 1 << radixBits
+	radixPasses  = (64 + radixBits - 1) / radixBits
+)
+
+// radixScratch is one worker's buffers for sorting columns of n rows:
+// two ping-pong arrays of (key, row) pairs (32 B per row) and the digit
+// histograms of every pass. Keeping key and row side by side halves the
+// scattered write streams of a pass compared with parallel arrays.
+type radixScratch struct {
+	src, dst []keyRow
+	counts   [radixPasses][radixBuckets]int
+}
+
+type keyRow struct {
+	key uint64
+	row int
+}
+
+// sortKey maps a float64 onto a uint64 whose unsigned order is the
+// float order: the sign bit is flipped for non-negative values and every
+// bit for negative ones. -0 is canonicalized to +0 so the two tie (and
+// fall back to row order), and every NaN maps above +Inf.
+func sortKey(v float64) uint64 {
+	if math.IsNaN(v) {
+		return math.MaxUint64
+	}
+	if v == 0 {
+		return 1 << 63
+	}
+	b := math.Float64bits(v)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
+}
+
+// sort writes into ord the rows of col in SortedOrders' total order: a
+// stable LSD radix sort of the keys, starting from row order, so equal
+// keys keep ascending row order. A pass whose digit is the same for
+// every row would not move anything and is skipped.
+func (s *radixScratch) sort(col []float64, ord []int) {
+	n := len(col)
+	if n == 0 {
+		return
+	}
+	src, dst := s.src[:n], s.dst[:n]
+	s.counts = [radixPasses][radixBuckets]int{}
+	for i, v := range col {
+		k := sortKey(v)
+		src[i] = keyRow{k, i}
+		for p := range s.counts {
+			s.counts[p][k>>(p*radixBits)&(radixBuckets-1)]++
+		}
+	}
+	for p := range s.counts {
+		shift := p * radixBits
+		c := &s.counts[p]
+		if c[src[0].key>>shift&(radixBuckets-1)] == n {
+			continue
+		}
+		sum := 0
+		for b, cnt := range c {
+			c[b] = sum
+			sum += cnt
+		}
+		for _, e := range src {
+			b := e.key >> shift & (radixBuckets - 1)
+			dst[c[b]] = e
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	for i, e := range src {
+		ord[i] = e.row
+	}
 }
 
 // invalidate drops the cached columnar views; callers must hold no
