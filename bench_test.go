@@ -205,20 +205,6 @@ func BenchmarkPRIMPeel(b *testing.B) {
 	}
 }
 
-// BenchmarkPRIMPeelReference measures the kept pre-columnar peeler
-// (quickselect plus full passes per dimension per step) on the same
-// workload, so the fast path's speedup stays visible in every run.
-func BenchmarkPRIMPeelReference(b *testing.B) {
-	d := benchTrain(10000, 20, 1)
-	rng := rand.New(rand.NewSource(2))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := (&reds.PRIM{Reference: true}).Discover(d, d, rng); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkPRIMPeelCold runs PRIM the way a REDS job pays for it: every
 // job's pseudo-labeled Dnew is a new dataset, so the per-column sorted
 // orders are built from scratch on each discover. BenchmarkPRIMPeel
@@ -264,18 +250,6 @@ func BenchmarkBumping(b *testing.B) {
 	}
 }
 
-// BenchmarkBumpingSerialReference is the pre-PR2 bumping: serial
-// replicas, reference peeler.
-func BenchmarkBumpingSerialReference(b *testing.B) {
-	d := benchTrain(4000, 10, 3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := (&reds.PRIMBumping{Q: 10, Workers: 1, Reference: true}).Discover(d, d, rand.New(rand.NewSource(4))); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkBIBeamSearch(b *testing.B) {
 	d := benchTrain(4000, 10, 3)
 	rng := rand.New(rand.NewSource(4))
@@ -298,38 +272,12 @@ func BenchmarkRandomForestTrain(b *testing.B) {
 	}
 }
 
-// BenchmarkRandomForestTrainReference measures the kept per-node
-// sorting split finder on the same workload.
-func BenchmarkRandomForestTrainReference(b *testing.B) {
-	d := benchTrain(400, 10, 5)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rng := rand.New(rand.NewSource(6))
-		if _, err := (&reds.RandomForest{NTrees: 100, Reference: true}).Train(d, rng); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkGradientBoostingTrain(b *testing.B) {
 	d := benchTrain(400, 10, 7)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rng := rand.New(rand.NewSource(8))
 		if _, err := (&reds.GradientBoosting{}).Train(d, rng); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkGradientBoostingTrainReference measures the kept per-node
-// sorting split finder on the same workload.
-func BenchmarkGradientBoostingTrainReference(b *testing.B) {
-	d := benchTrain(400, 10, 7)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rng := rand.New(rand.NewSource(8))
-		if _, err := (&reds.GradientBoosting{Reference: true}).Train(d, rng); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -70,9 +70,10 @@ func tunedRFPaper(binned bool) metamodel.Trainer {
 	return &metamodel.Tuned{Family: "rf", Grid: grid}
 }
 
-// componentBenchmarks enumerates the hot-path benchmarks: each optimized
-// path next to its kept reference implementation, so every report
-// carries its own before/after.
+// componentBenchmarks enumerates the hot-path benchmarks. The labeling
+// stage runs next to its per-point reference, so the report carries its
+// own before/after; the PRIM, bumping, rf and gbt oracles are test-only
+// and measured by their packages' own benchmarks.
 func componentBenchmarks() []struct {
 	name string
 	fn   func(b *testing.B)
@@ -111,23 +112,9 @@ func componentBenchmarks() []struct {
 				}
 			}
 		}},
-		{"prim_peel_reference", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := (&prim.Peeler{Reference: true}).Discover(primData, primData, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
 		{"bumping", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := (&prim.Bumping{Q: 10}).Discover(sdTrain, sdTrain, rand.New(rand.NewSource(4))); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{"bumping_serial_reference", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := (&prim.Bumping{Q: 10, Workers: 1, Reference: true}).Discover(sdTrain, sdTrain, rand.New(rand.NewSource(4))); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -146,23 +133,9 @@ func componentBenchmarks() []struct {
 				}
 			}
 		}},
-		{"rf_train_reference", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := (&rf.Trainer{NTrees: 100, Reference: true}).Train(mmTrain, rand.New(rand.NewSource(6))); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
 		{"gbt_train", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := (&gbt.Trainer{}).Train(mmTrain, rand.New(rand.NewSource(8))); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{"gbt_train_reference", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := (&gbt.Trainer{Reference: true}).Train(mmTrain, rand.New(rand.NewSource(8))); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -13,13 +13,16 @@
 // fig12, fig13, table5, fig14, all.
 //
 // Component mode benchmarks the hot paths (PRIM peeling, RF/GBT
-// training, BI, batch prediction) next to their kept reference
-// implementations and can emit a machine-readable report; committed
-// snapshots (BENCH_PR2.json, ...) record the perf trajectory:
+// training, BI, batch prediction) and can emit a machine-readable
+// report; committed snapshots (BENCH_PR2.json, ...) record the perf
+// trajectory:
 //
 //	redsbench -bench                 # table on stdout
 //	redsbench -bench -json bench.json
 //	redsbench -bench -json -         # JSON to stdout
+//
+// The kept oracles of PRIM, bumping, rf and gbt are test-only; their
+// packages' own benchmarks measure them (README, "Performance").
 package main
 
 import (

@@ -10,8 +10,8 @@
 // eligibility for every refinement dimension of a beam box is derived
 // from a single violation-count pass instead of an O(M) bound check per
 // (point, dimension) pair, and the tie-group buffer is reused across
-// candidates. The reference implementation is kept in bi_reference.go
-// and differential tests assert identical results.
+// candidates. The original implementation is kept as a test oracle in
+// bi_reference_test.go, and differential tests assert identical results.
 package bi
 
 import (

@@ -34,8 +34,8 @@ type CacheStats struct {
 // byteCache is an LRU cache bounded by the approximate total byte size
 // of the cached values rather than their count, with singleflight
 // deduplication of concurrent computations and an optional TTL. It is
-// the shared machinery behind the metamodel cache and the
-// pseudo-label dataset cache.
+// the shared machinery behind the metamodel, pseudo-label dataset,
+// rule-set and train-mode verdict caches.
 //
 // Counters and size gauges are telemetry instruments registered under
 // reds_cache_*{cache=<label>}. They are the single source of truth:
@@ -73,8 +73,9 @@ type call[V any] struct {
 }
 
 // newByteCache builds a cache whose instruments live in reg under the
-// given cache label ("model" or "label"). A nil reg gets a private
-// registry — instruments still work, nothing is exposed.
+// given cache label ("model", "label", "ruleset" or "trainmode"). A nil
+// reg gets a private registry — instruments still work, nothing is
+// exposed.
 func newByteCache[V any](maxBytes int64, ttl time.Duration, reg *telemetry.Registry, label string) *byteCache[V] {
 	if maxBytes < 1 {
 		maxBytes = 256 << 20

@@ -310,8 +310,7 @@ type LocalExecutor struct {
 	trainMode    string
 	trainBins    int
 	trainQuality float64
-	trainModeMu  sync.Mutex
-	trainModes   map[string]trainResolution
+	trainModes   *byteCache[trainResolution]
 	// checkpointBytes bounds the labels carried per checkpoint.
 	checkpointBytes int64
 	// stageSeconds is the per-stage latency histogram
@@ -354,7 +353,7 @@ func NewLocalExecutor(opts LocalExecutorOptions) *LocalExecutor {
 		trainMode:       opts.TrainMode,
 		trainBins:       opts.TrainBins,
 		trainQuality:    opts.TrainQuality,
-		trainModes:      make(map[string]trainResolution),
+		trainModes:      newByteCache[trainResolution](trainModeCacheBytes, 0, reg, "trainmode"),
 		checkpointBytes: opts.CheckpointBytes,
 		stageSeconds: reg.HistogramVec("reds_exec_stage_seconds",
 			"Pipeline stage latency, labeled by stage (simulate, train, sample, label, discover) and variant.",

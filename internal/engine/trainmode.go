@@ -17,6 +17,15 @@ import (
 // labeling and distillation draws.
 const trainGateSeedOffset = 4007
 
+// Train-mode verdicts are memoized in a byteCache of their own. A
+// verdict is a few words plus its cache key, charged a flat
+// trainModeEntryBytes, so the fixed trainModeCacheBytes budget holds
+// the last 4096 (dataset, family, knobs, seed) resolutions.
+const (
+	trainModeEntryBytes = 256
+	trainModeCacheBytes = 4096 * trainModeEntryBytes
+)
+
 // trainResolution is the outcome of choosing a training mode for one
 // metamodel family of a job: the mode that actually trains, the quality
 // the gate measured (when one ran), and the reason a requested binned
@@ -39,8 +48,9 @@ type trainResolution struct {
 // data and gate it behind the holdout-quality threshold. Every path that
 // cannot honor a binned request counts one fallback and trains the exact
 // way — a job never fails because the fast path did, it just trains the
-// slow way and says so. Resolutions are cached per (family, data, knobs)
-// so sibling variants and repeat jobs gate once.
+// slow way and says so. Resolutions are cached per (family, data, knobs,
+// seed), singleflight, so sibling variants, repeat jobs and concurrent
+// jobs on one dataset gate once and count one fallback.
 func (x *LocalExecutor) resolveTrainMode(req Request, family string, train *dataset.Dataset, hash string, trainSeed int64) trainResolution {
 	if req.effectiveTrainMode(x.trainMode) != "binned" {
 		return trainResolution{mode: "exact"}
@@ -55,20 +65,13 @@ func (x *LocalExecutor) resolveTrainMode(req Request, family string, train *data
 	threshold := req.effectiveTrainQuality(x.trainQuality)
 	key := fmt.Sprintf("%s|%s|bins=%d|q=%g|seed=%d", hash, family, bins, threshold, trainSeed)
 
-	x.trainModeMu.Lock()
-	if res, ok := x.trainModes[key]; ok {
-		x.trainModeMu.Unlock()
-		return res
-	}
-	x.trainModeMu.Unlock()
-
-	res := x.gateTrainMode(family, train, bins, threshold, trainSeed+trainGateSeedOffset)
-	if res.fallbackReason != "" {
-		x.mTrainFallback.Inc()
-	}
-	x.trainModeMu.Lock()
-	x.trainModes[key] = res
-	x.trainModeMu.Unlock()
+	res, _, _ := x.trainModes.getOrCompute(key, func() (trainResolution, int64, error) {
+		res := x.gateTrainMode(family, train, bins, threshold, trainSeed+trainGateSeedOffset)
+		if res.fallbackReason != "" {
+			x.mTrainFallback.Inc()
+		}
+		return res, trainModeEntryBytes, nil
+	})
 	return res
 }
 

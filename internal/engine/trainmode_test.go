@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -138,6 +139,42 @@ func TestBinnedTrainingUnsupportedFamily(t *testing.T) {
 	}
 	if x.TrainFallbacks() != 1 {
 		t.Fatalf("train fallbacks = %d, want 1", x.TrainFallbacks())
+	}
+}
+
+// TestTrainModeResolveSingleflight resolves one binned key from many
+// goroutines at once: the gate model trains once, the forced fallback
+// is counted once, and every caller gets the same verdict.
+func TestTrainModeResolveSingleflight(t *testing.T) {
+	x := NewLocalExecutor(LocalExecutorOptions{})
+	d := noisyTestDataset(300, rand.New(rand.NewSource(27)))
+	req := Request{TrainMode: "binned", TrainQuality: 0.999}
+
+	const callers = 8
+	start := make(chan struct{})
+	got := make([]trainResolution, callers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			got[i] = x.resolveTrainMode(req, "rf", d, d.Hash(), 28)
+		}()
+	}
+	close(start)
+	wg.Wait()
+
+	for i, res := range got {
+		if res != got[0] || res.mode != "exact" {
+			t.Fatalf("caller %d resolved %+v, caller 0 %+v", i, res, got[0])
+		}
+	}
+	if n := x.trainModes.Stats().Misses; n != 1 {
+		t.Fatalf("gate trained %d times, want 1", n)
+	}
+	if n := x.TrainFallbacks(); n != 1 {
+		t.Fatalf("train fallbacks = %d, want 1", n)
 	}
 }
 

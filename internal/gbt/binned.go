@@ -25,8 +25,7 @@ import (
 // CV-score parity within tolerance, and the engine falls back to exact
 // training per variant when a holdout quality gate misses.
 //
-// The embedded Trainer supplies the boosting shape; its Reference flag
-// is ignored here.
+// The embedded Trainer supplies the boosting shape.
 type BinnedTrainer struct {
 	Trainer
 	// Bins caps the number of quantile bins per feature
@@ -67,7 +66,10 @@ func (t *BinnedTrainer) trainRows(d *dataset.Dataset, rows []int, rng *rand.Rand
 	if len(base) < 2 {
 		return nil, fmt.Errorf("gbt: need at least 2 examples, got %d", len(base))
 	}
-	cfg := t.withDefaults()
+	cfg, err := t.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	budget := t.Bins
 	if budget == 0 {
 		budget = dataset.DefaultBins

@@ -33,24 +33,20 @@ type Trainer struct {
 	SubSample float64
 	// ColSample is the column-sampling ratio per round (default 1 = off).
 	ColSample float64
-	// Reference selects the original per-node sorting split finder
-	// instead of the presorted columnar fast path. The two grow
-	// identical ensembles (see the differential tests) as long as no
-	// two distinct rows share a feature value; across genuinely tied
-	// rows the reference's unstable sort visits them in a different
-	// order, so gradient partial sums (and with them exact split
-	// tie-breaking) can differ in the last float64 bit. The flag
-	// exists so benchmarks and tests can measure the reference.
-	Reference bool
 }
 
 // Name implements metamodel.Trainer.
 func (t *Trainer) Name() string { return "xgb" }
 
-func (t *Trainer) withDefaults() Trainer {
+// withDefaults resolves the zero fields to their defaults and rejects a
+// negative round count.
+func (t *Trainer) withDefaults() (Trainer, error) {
 	out := *t
 	if out.Rounds == 0 {
 		out.Rounds = 100
+	}
+	if out.Rounds < 0 {
+		return Trainer{}, fmt.Errorf("gbt: number of rounds must be positive, got %d", out.Rounds)
 	}
 	if out.LearningRate == 0 {
 		out.LearningRate = 0.3
@@ -70,7 +66,7 @@ func (t *Trainer) withDefaults() Trainer {
 	if out.ColSample == 0 {
 		out.ColSample = 1
 	}
-	return out
+	return out, nil
 }
 
 // node of a boosting tree in a flat slice; leaves have feature == -1 and
@@ -176,7 +172,10 @@ func (t *Trainer) Train(d *dataset.Dataset, rng *rand.Rand) (metamodel.Model, er
 	if d.N() < 2 {
 		return nil, fmt.Errorf("gbt: need at least 2 examples, got %d", d.N())
 	}
-	cfg := t.withDefaults()
+	cfg, err := t.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	n := d.N()
 
 	// Base score: log-odds of the global mean, clipped away from the
@@ -204,10 +203,7 @@ func (t *Trainer) Train(d *dataset.Dataset, rng *rand.Rand) (metamodel.Model, er
 	// The columnar view and per-feature sorted orders are computed once
 	// on the dataset and shared by every round; the builder specializes
 	// them to each round's row sample and reuses its scratch buffers.
-	var builder *roundBuilder
-	if !cfg.Reference {
-		builder = newRoundBuilder(d.Columns(), d.SortedOrders(), grad, hess, cfg)
-	}
+	builder := newRoundBuilder(d.Columns(), d.SortedOrders(), grad, hess, cfg)
 
 	for round := 0; round < cfg.Rounds; round++ {
 		for i := 0; i < n; i++ {
@@ -218,11 +214,7 @@ func (t *Trainer) Train(d *dataset.Dataset, rng *rand.Rand) (metamodel.Model, er
 		rows := sampleRows(n, cfg.SubSample, rng)
 		cols := sampleCols(d.M(), cfg.ColSample, rng)
 		tr := btree{}
-		if cfg.Reference {
-			growReference(&tr, d.X, grad, hess, rows, cols, cfg, 0, model.gains)
-		} else {
-			builder.build(&tr, rows, cols, model.gains)
-		}
+		builder.build(&tr, rows, cols, model.gains)
 		model.trees = append(model.trees, tr)
 		for i := 0; i < n; i++ {
 			margin[i] += cfg.LearningRate * tr.predict(d.X[i])
@@ -272,7 +264,7 @@ func leaf(t *btree, w float64) int {
 // orders: the dataset-level sorted orders are filtered to the round's
 // row sample once, kept sorted through every split by stable
 // partitioning, and swept with running gradient/hessian prefix sums —
-// O(n) per node-column instead of the reference's O(n log n) sort.
+// O(n) per node-column instead of an O(n log n) sort per node.
 // Scratch buffers persist across rounds, so steady-state growth
 // allocates only the tree nodes.
 type roundBuilder struct {

@@ -1,13 +1,65 @@
 package gbt
 
 // This file keeps the original per-node sorting tree induction as a
-// reference implementation. The fast path in gbt.go presorts the
-// sampled rows along every candidate column once per round and sweeps
-// splits with running gradient/hessian prefix sums; differential tests
-// assert both paths grow identical ensembles. Select it with
-// Trainer.Reference.
+// test oracle. The fast path in gbt.go presorts the sampled rows along
+// every candidate column once per round and sweeps splits with running
+// gradient/hessian prefix sums; the differential tests assert both
+// paths grow byte-identical ensembles, and
+// BenchmarkGradientBoostingTrainReference keeps the speedup measured.
+//
+// The two agree as long as no two distinct rows share a feature value.
+// Across genuinely tied rows the oracle's unstable sort visits them in
+// a different order, so gradient partial sums (and with them exact
+// split tie-breaking) can differ in the last float64 bit.
 
-import "sort"
+import (
+	"math"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"github.com/reds-go/reds/internal/benchdata"
+	"github.com/reds-go/reds/internal/dataset"
+)
+
+// trainReference is Trainer.Train on the oracle: the same base score,
+// gradients and per-round row and column samples, with each round's
+// tree grown by growReference.
+func trainReference(t *Trainer, d *dataset.Dataset, rng *rand.Rand) (*Model, error) {
+	cfg, err := t.withDefaults()
+	if err != nil {
+		return nil, err
+	}
+	n := d.N()
+	mean := math.Min(math.Max(d.PositiveShare(), 1e-6), 1-1e-6)
+	model := &Model{
+		eta:   cfg.LearningRate,
+		base:  math.Log(mean / (1 - mean)),
+		gains: make([]float64, d.M()),
+	}
+	margin := make([]float64, n)
+	for i := range margin {
+		margin[i] = model.base
+	}
+	grad := make([]float64, n)
+	hess := make([]float64, n)
+	for round := 0; round < cfg.Rounds; round++ {
+		for i := 0; i < n; i++ {
+			p := sigmoid(margin[i])
+			grad[i] = p - d.Y[i]
+			hess[i] = p * (1 - p)
+		}
+		rows := sampleRows(n, cfg.SubSample, rng)
+		cols := sampleCols(d.M(), cfg.ColSample, rng)
+		tr := btree{}
+		growReference(&tr, d.X, grad, hess, rows, cols, cfg, 0, model.gains)
+		model.trees = append(model.trees, tr)
+		for i := 0; i < n; i++ {
+			margin[i] += cfg.LearningRate * tr.predict(d.X[i])
+		}
+	}
+	return model, nil
+}
 
 // growReference appends the subtree over rows and returns its node
 // index, adding split gains into the importance accumulator.
@@ -79,4 +131,16 @@ func bestSplitReference(x [][]float64, grad, hess []float64, rows, cols []int, c
 		}
 	}
 	return feat, split, bestGain
+}
+
+// BenchmarkGradientBoostingTrainReference measures the oracle on the
+// workload of the root suite's BenchmarkGradientBoostingTrain.
+func BenchmarkGradientBoostingTrainReference(b *testing.B) {
+	d := benchdata.Gen(400, 10, 7)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := trainReference(&Trainer{}, d, rand.New(rand.NewSource(8))); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

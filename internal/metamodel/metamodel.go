@@ -274,6 +274,12 @@ func (t *Tuned) Name() string { return t.Family }
 // and field values, not grid position) and the fold index. Identity-based
 // derivation makes the tuning outcome invariant under grid reordering,
 // not just under evaluation order.
+//
+// The identity is the %T%+v rendering of the trainer, which names every
+// field, exported or not, set or zero. Adding, removing or renaming a
+// field of a grid trainer therefore re-seeds every tuned job that uses
+// it; TestCandidateSeedGolden pins the seeds of the production grids so
+// such a change fails a test instead of silently moving results.
 func candidateSeed(base int64, tr Trainer, fold int) int64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%T%+v|%d", tr, tr, fold)

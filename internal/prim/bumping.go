@@ -30,11 +30,6 @@ type Bumping struct {
 	// draws happen up front on the caller's goroutine, so the result is
 	// identical for any worker count.
 	Workers int
-	// Reference routes the inner peelers through their reference
-	// implementation. The contract is Peeler.Reference's: both paths
-	// must select identical boxes, and the differential tests compare
-	// them replica for replica.
-	Reference bool
 }
 
 // Discover implements sd.Discoverer.
@@ -48,6 +43,9 @@ func (b *Bumping) Discover(train, val *dataset.Dataset, rng *rand.Rand) (*sd.Res
 	q := b.Q
 	if q == 0 {
 		q = 50
+	}
+	if q < 0 {
+		return nil, fmt.Errorf("prim: bumping repetitions must be positive, got %d", q)
 	}
 	m := train.M()
 	subset := b.SubsetSize
@@ -66,7 +64,7 @@ func (b *Bumping) Discover(train, val *dataset.Dataset, rng *rand.Rand) (*sd.Res
 	if peelWorkers < 1 {
 		peelWorkers = 1
 	}
-	peeler := &Peeler{Alpha: b.Alpha, MinPoints: b.MinPoints, Workers: peelWorkers, Reference: b.Reference}
+	peeler := &Peeler{Alpha: b.Alpha, MinPoints: b.MinPoints, Workers: peelWorkers}
 
 	// Draw every replica's bootstrap rows and column subset on the
 	// caller's goroutine first — the RNG stream is exactly that of a
@@ -96,11 +94,16 @@ func (b *Bumping) Discover(train, val *dataset.Dataset, rng *rand.Rand) (*sd.Res
 			boxes = append(boxes, liftBox(step.Box, reps[rep].cols, m))
 		}
 	}
+	return paretoTrajectory(boxes, train, val, workers), nil
+}
 
-	// Pareto filter on validation precision and recall. Evaluating every
-	// candidate box on the validation set is itself a hot loop
-	// (Q replicas × trajectory steps, O(N·M) each) and each box is
-	// independent, so it shares the replica pool.
+// paretoTrajectory filters the replicas' boxes (lifted to all inputs)
+// to the Pareto front on validation precision and recall and returns
+// it as a recall-sorted trajectory. Evaluating every candidate box on
+// the validation set is itself a hot loop (Q replicas × trajectory
+// steps, O(N·M) each) and each box is independent, so it runs on a
+// pool of workers.
+func paretoTrajectory(boxes []*box.Box, train, val *dataset.Dataset, workers int) *sd.Result {
 	totalPos := 0.0
 	for _, y := range val.Y {
 		totalPos += y
@@ -149,7 +152,7 @@ func (b *Bumping) Discover(train, val *dataset.Dataset, rng *rand.Rand) (*sd.Res
 		})
 	}
 	if len(res.Steps) == 0 {
-		full := box.Full(m)
+		full := box.Full(train.M())
 		res.Steps = append(res.Steps, sd.Step{
 			Box:   full,
 			Train: sd.Compute(full, train),
@@ -157,7 +160,7 @@ func (b *Bumping) Discover(train, val *dataset.Dataset, rng *rand.Rand) (*sd.Res
 		})
 	}
 	res.FinalIndex = selectFinal(res.Steps)
-	return res, nil
+	return res
 }
 
 // liftBox maps a box over the column subset cols back to the full

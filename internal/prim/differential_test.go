@@ -1,8 +1,10 @@
 package prim
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"github.com/reds-go/reds/internal/dataset"
@@ -66,12 +68,7 @@ func TestFastPeelerMatchesReference(t *testing.T) {
 			d := diffDataset(800, 6, seed)
 			val := diffDataset(400, 6, seed+100)
 
-			ref := base
-			ref.Reference = true
-			want, err := ref.Discover(d, val, nil)
-			if err != nil {
-				t.Fatalf("config %d seed %d: reference: %v", ci, seed, err)
-			}
+			want := peelReference(base, d, val)
 
 			fast := base
 			got, err := fast.Discover(d, val, nil)
@@ -120,11 +117,7 @@ func TestFastPeelerMatchesReferenceWithTies(t *testing.T) {
 	}
 	d := dataset.MustNew(x, y)
 
-	ref := Peeler{Reference: true}
-	want, err := ref.Discover(d, d, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := peelReference(Peeler{}, d, d)
 	got, err := (&Peeler{}).Discover(d, d, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -153,11 +146,7 @@ func TestFastPeelerMatchesReferenceProbLabels(t *testing.T) {
 		}
 		d := dataset.MustNew(x, y)
 
-		ref := Peeler{Reference: true}
-		want, err := ref.Discover(d, d, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := peelReference(Peeler{}, d, d)
 		got, err := (&Peeler{}).Discover(d, d, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -166,15 +155,18 @@ func TestFastPeelerMatchesReferenceProbLabels(t *testing.T) {
 	}
 }
 
-// TestParallelBumpingMatchesReference runs bumping with the parallel
-// replica pool and fast peelers against the serial reference path from
-// identical seeds and asserts byte-identical results.
+// TestParallelBumpingMatchesReference checks bumping from identical
+// seeds. The parallel replica pool must reproduce the serial run byte
+// for byte, and both must match the serial oracle. On every replica
+// bumping hands its peeler — a Bootstrap resample restricted to a
+// column subset with SelectColumns, so duplicated rows and renumbered
+// dimensions — the fast peeler must peel the oracle's trajectory.
 func TestParallelBumpingMatchesReference(t *testing.T) {
 	d := diffDataset(300, 5, 11)
 	val := diffDataset(200, 5, 12)
 
-	ref := &Bumping{Q: 12, SubsetSize: 3, MinPoints: 10, Workers: 1, Reference: true}
-	want, err := ref.Discover(d, val, rand.New(rand.NewSource(9)))
+	serial := &Bumping{Q: 12, SubsetSize: 3, MinPoints: 10, Workers: 1}
+	want, err := serial.Discover(d, val, rand.New(rand.NewSource(9)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,4 +177,21 @@ func TestParallelBumpingMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameTrajectory(t, "parallel bumping", got, want)
+	ref := bumpingReference(*serial, d, val, rand.New(rand.NewSource(9)))
+	sameTrajectory(t, "reference bumping", want, ref)
+
+	// Replay the replica draws of Bumping.Discover from the same seed.
+	rng := rand.New(rand.NewSource(9))
+	peeler := Peeler{MinPoints: 10}
+	for rep := 0; rep < serial.Q; rep++ {
+		bs := d.Bootstrap(rng)
+		cols := rng.Perm(d.M())[:serial.SubsetSize]
+		sort.Ints(cols)
+		sub := bs.SelectColumns(cols)
+		fast, err := peeler.Discover(sub, sub, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameTrajectory(t, fmt.Sprintf("bumping replica %d", rep), fast, peelReference(peeler, sub, sub))
+	}
 }

@@ -26,7 +26,7 @@ import (
 // when a holdout quality gate misses.
 //
 // The embedded Trainer supplies the forest shape (NTrees, MTry, MinLeaf,
-// MaxDepth); its Reference flag is ignored here.
+// MaxDepth).
 type BinnedTrainer struct {
 	Trainer
 	// Bins caps the number of quantile bins per feature
@@ -58,22 +58,10 @@ func (t *BinnedTrainer) trainRows(d *dataset.Dataset, rows []int, rng *rand.Rand
 	if nRows < 2 {
 		return nil, fmt.Errorf("rf: need at least 2 examples, got %d", nRows)
 	}
-	nTrees := t.NTrees
-	if nTrees == 0 {
-		nTrees = 100
+	nTrees, cfg, err := t.shape(d.M())
+	if err != nil {
+		return nil, err
 	}
-	mtry := t.MTry
-	if mtry == 0 {
-		mtry = d.M() / 3
-		if mtry < 1 {
-			mtry = 1
-		}
-	}
-	minLeaf := t.MinLeaf
-	if minLeaf == 0 {
-		minLeaf = 5
-	}
-	cfg := treeConfig{mtry: mtry, minLeaf: minLeaf, maxDepth: t.MaxDepth}
 	budget := t.Bins
 	if budget == 0 {
 		budget = dataset.DefaultBins

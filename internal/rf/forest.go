@@ -24,16 +24,31 @@ type Trainer struct {
 	MinLeaf int
 	// MaxDepth caps tree depth; 0 means unlimited.
 	MaxDepth int
-	// Reference selects the original per-node sorting split finder
-	// instead of the presorted columnar fast path. The two grow
-	// identical trees (see the differential tests) as long as no two
-	// distinct rows share a feature value — bootstrap-duplicated rows
-	// are fine; across genuinely tied rows the reference's unstable
-	// sort visits them in a different order, so partial sums (and with
-	// them exact split tie-breaking) can differ in the last float64
-	// bit. The flag exists so benchmarks and tests can measure the
-	// reference.
-	Reference bool
+}
+
+// shape resolves the forest shape for m inputs: the number of trees and
+// the per-tree configuration, with zero fields at their defaults. The
+// exact and the binned trainer share it.
+func (t *Trainer) shape(m int) (int, treeConfig, error) {
+	nTrees := t.NTrees
+	if nTrees == 0 {
+		nTrees = 100
+	}
+	if nTrees < 0 {
+		return 0, treeConfig{}, fmt.Errorf("rf: number of trees must be positive, got %d", nTrees)
+	}
+	mtry := t.MTry
+	if mtry == 0 {
+		mtry = m / 3
+		if mtry < 1 {
+			mtry = 1
+		}
+	}
+	minLeaf := t.MinLeaf
+	if minLeaf == 0 {
+		minLeaf = 5
+	}
+	return nTrees, treeConfig{mtry: mtry, minLeaf: minLeaf, maxDepth: t.MaxDepth}, nil
 }
 
 // Name implements metamodel.Trainer.
@@ -57,23 +72,10 @@ func (t *Trainer) Train(d *dataset.Dataset, rng *rand.Rand) (metamodel.Model, er
 	if d.N() < 2 {
 		return nil, fmt.Errorf("rf: need at least 2 examples, got %d", d.N())
 	}
-	nTrees := t.NTrees
-	if nTrees == 0 {
-		nTrees = 100
+	nTrees, cfg, err := t.shape(d.M())
+	if err != nil {
+		return nil, err
 	}
-	mtry := t.MTry
-	if mtry == 0 {
-		mtry = d.M() / 3
-		if mtry < 1 {
-			mtry = 1
-		}
-	}
-	minLeaf := t.MinLeaf
-	if minLeaf == 0 {
-		minLeaf = 5
-	}
-	cfg := treeConfig{mtry: mtry, minLeaf: minLeaf, maxDepth: t.MaxDepth}
-
 	seeds := make([]int64, nTrees)
 	for i := range seeds {
 		seeds[i] = rng.Int63()
@@ -81,12 +83,8 @@ func (t *Trainer) Train(d *dataset.Dataset, rng *rand.Rand) (metamodel.Model, er
 	// The columnar view and per-feature sorted orders are computed once
 	// on the dataset and shared by every tree; each worker's builder
 	// specializes them to its tree's bootstrap by counting.
-	var cols [][]float64
-	var shared [][]int
-	if !t.Reference {
-		cols = d.Columns()
-		shared = d.SortedOrders()
-	}
+	cols := d.Columns()
+	shared := d.SortedOrders()
 	forest := &Forest{trees: make([]*tree, nTrees)}
 	workers := runtime.GOMAXPROCS(0)
 	if workers > nTrees {
@@ -98,21 +96,14 @@ func (t *Trainer) Train(d *dataset.Dataset, rng *rand.Rand) (metamodel.Model, er
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var builder *treeBuilder
-			if !t.Reference {
-				builder = newTreeBuilder(cols, d.Y, shared, cfg)
-			}
+			builder := newTreeBuilder(cols, d.Y, shared, cfg)
 			idx := make([]int, d.N())
 			for ti := range next {
 				local := rand.New(rand.NewSource(seeds[ti]))
 				for k := range idx {
 					idx[k] = local.Intn(d.N())
 				}
-				if t.Reference {
-					forest.trees[ti] = buildTreeReference(d.X, d.Y, idx, cfg, local)
-				} else {
-					forest.trees[ti] = builder.build(idx, local)
-				}
+				forest.trees[ti] = builder.build(idx, local)
 			}
 		}()
 	}

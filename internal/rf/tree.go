@@ -8,8 +8,8 @@
 // are specialized to each bootstrap sample, kept sorted through every
 // split by stable partitioning, and swept with running prefix sums — so
 // finding a node's best split is O(n) per candidate feature instead of
-// the O(n log n) sort of the reference implementation in
-// tree_reference.go.
+// the O(n log n) sort per node of the original induction, which
+// tree_reference_test.go keeps as a test oracle.
 package rf
 
 import (

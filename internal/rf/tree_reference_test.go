@@ -1,16 +1,49 @@
 package rf
 
+// This file keeps the original per-node sorting tree induction as a
+// test oracle. The fast path in tree.go presorts every feature once per
+// dataset and sweeps splits with running prefix sums; the differential
+// tests assert both paths grow byte-identical trees, and
+// BenchmarkRandomForestTrainReference keeps the speedup measured.
+//
+// The two agree as long as no two distinct rows share a feature value —
+// bootstrap-duplicated rows are fine. Across genuinely tied rows the
+// oracle's unstable sort visits them in a different order, so partial
+// sums (and with them exact split tie-breaking) can differ in the last
+// float64 bit.
+
 import (
 	"math/rand"
 	"sort"
+	"testing"
+
+	"github.com/reds-go/reds/internal/benchdata"
+	"github.com/reds-go/reds/internal/dataset"
 )
 
-// This file keeps the original per-node sorting tree induction as a
-// reference implementation. The fast path in tree.go presorts every
-// feature once per tree and sweeps splits with running prefix sums;
-// differential tests assert both paths grow identical trees, and
-// `redsbench -bench` reports both so the speedup stays measured.
-// Select it with Trainer.Reference.
+// trainReference is Trainer.Train on the oracle: the same per-tree
+// seeds and bootstrap rows, drawn exactly as Train draws them, with
+// every tree grown serially by buildTreeReference.
+func trainReference(t *Trainer, d *dataset.Dataset, rng *rand.Rand) (*Forest, error) {
+	nTrees, cfg, err := t.shape(d.M())
+	if err != nil {
+		return nil, err
+	}
+	seeds := make([]int64, nTrees)
+	for i := range seeds {
+		seeds[i] = rng.Int63()
+	}
+	forest := &Forest{trees: make([]*tree, nTrees)}
+	for ti := range forest.trees {
+		local := rand.New(rand.NewSource(seeds[ti]))
+		idx := make([]int, d.N())
+		for k := range idx {
+			idx[k] = local.Intn(d.N())
+		}
+		forest.trees[ti] = buildTreeReference(d.X, d.Y, idx, cfg, local)
+	}
+	return forest, nil
+}
 
 // buildTreeReference grows a tree on the rows idx of (x, y) by recursive
 // greedy variance-reduction splitting, sorting each candidate feature at
@@ -110,4 +143,16 @@ func bestSplitReference(x [][]float64, y []float64, idx []int, cfg treeConfig, r
 		}
 	}
 	return feat, split, bestGain, ok
+}
+
+// BenchmarkRandomForestTrainReference measures the oracle on the
+// workload of the root suite's BenchmarkRandomForestTrain.
+func BenchmarkRandomForestTrainReference(b *testing.B) {
+	d := benchdata.Gen(400, 10, 5)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := trainReference(&Trainer{NTrees: 100}, d, rand.New(rand.NewSource(6))); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

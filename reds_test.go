@@ -39,6 +39,50 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	}
 }
 
+// TestNegativeCountsRejected asserts that a negative repetition, tree
+// or round count is an error rather than a makeslice panic or a
+// silently empty ensemble.
+func TestNegativeCountsRejected(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	model, err := reds.GetFunction("f2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := reds.Generate(model, 100, reds.LatinHypercube{}, rng)
+	cases := []struct {
+		name string
+		run  func() error
+	}{
+		{"bumping Q", func() error {
+			_, err := (&reds.PRIMBumping{Q: -1}).Discover(d, d, rand.New(rand.NewSource(2)))
+			return err
+		}},
+		{"rf NTrees", func() error {
+			_, err := (&reds.RandomForest{NTrees: -1}).Train(d, rand.New(rand.NewSource(2)))
+			return err
+		}},
+		{"binned rf NTrees", func() error {
+			_, err := (&reds.RandomForestBinned{Trainer: reds.RandomForest{NTrees: -1}}).Train(d, rand.New(rand.NewSource(2)))
+			return err
+		}},
+		{"xgb Rounds", func() error {
+			_, err := (&reds.GradientBoosting{Rounds: -1}).Train(d, rand.New(rand.NewSource(2)))
+			return err
+		}},
+		{"binned xgb Rounds", func() error {
+			_, err := (&reds.GradientBoostingBinned{Trainer: reds.GradientBoosting{Rounds: -1}}).Train(d, rand.New(rand.NewSource(2)))
+			return err
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if err := c.run(); err == nil {
+				t.Fatal("negative count accepted")
+			}
+		})
+	}
+}
+
 func TestDiscoverScenarioDefaults(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	model, _ := reds.GetFunction("hart3")
