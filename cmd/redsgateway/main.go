@@ -106,7 +106,7 @@ func main() {
 	replicas := flag.Int("hash.replicas", 128, "virtual nodes per worker on the consistent-hash ring")
 	healthInterval := flag.Duration("health.interval", 2*time.Second, "worker health-probe period")
 	healthTimeout := flag.Duration("health.timeout", time.Second, "single health-probe timeout")
-	pollInterval := flag.Duration("poll.interval", 150*time.Millisecond, "remote execution progress-poll period")
+	pollInterval := flag.Duration("poll.interval", 150*time.Millisecond, "longest a worker holds a status poll")
 	storeDir := flag.String("store.dir", "", "directory for the durable job store (empty: in-memory only)")
 	storeTTL := flag.Duration("store.ttl", 0, "retention of finished jobs before garbage collection (0: keep forever)")
 	storeSweep := flag.Duration("store.sweep-interval", time.Minute, "how often the TTL sweeper runs")

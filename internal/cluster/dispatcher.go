@@ -19,7 +19,8 @@ type DispatcherOptions struct {
 	Replicas int
 	// Health configures the liveness prober.
 	Health HealthOptions
-	// PollInterval is each RemoteExecutor's progress-polling period.
+	// PollInterval is the longest a worker holds each RemoteExecutor's
+	// status poll (see engine.RemoteExecutor.PollInterval).
 	PollInterval time.Duration
 	// Client is the HTTP client RemoteExecutors use (default: one
 	// shared client with a 15s per-request timeout).

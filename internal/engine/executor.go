@@ -68,11 +68,14 @@ func (p Progress) sameAs(q Progress) bool {
 
 // checkpointSeq is the sequence number of the attached checkpoint (0
 // when none), so sameAs treats a new snapshot as observable progress.
-func (p Progress) checkpointSeq() uint64 {
-	if p.Checkpoint == nil {
+func (p Progress) checkpointSeq() uint64 { return p.Checkpoint.seq() }
+
+// seq is the checkpoint's sequence number, 0 for a nil checkpoint.
+func (c *Checkpoint) seq() uint64 {
+	if c == nil {
 		return 0
 	}
-	return p.Checkpoint.Seq
+	return c.Seq
 }
 
 // Executor is the execution layer of the engine: it runs one discovery

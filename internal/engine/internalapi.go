@@ -10,7 +10,9 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -26,7 +28,8 @@ import (
 // reports progress.
 //
 //	POST   /internal/v1/execute                  start an execution   → 202 {"id": ...}
-//	GET    /internal/v1/execute/{id}             status + progress (+ result when done)
+//	GET    /internal/v1/execute/{id}             status + progress (+ result when done);
+//	                                             ?wait=&after= long-polls for a change
 //	GET    /internal/v1/execute/{id}/checkpoint  newest resumable checkpoint
 //	DELETE /internal/v1/execute/{id}             cancel and/or release the execution
 //
@@ -42,6 +45,10 @@ import (
 // executor's pseudo-label byte budget (32 MiB by default).
 const maxExecBodyBytes = 256 << 20
 
+// maxStatusWait caps how long a status poll is held, whatever wait the
+// caller asks for.
+const maxStatusWait = 30 * time.Second
+
 // execStatusResponse is the wire form of one execution's state, shared
 // by the server (ExecServer) and the client (RemoteExecutor).
 type execStatusResponse struct {
@@ -56,7 +63,8 @@ type execStatusResponse struct {
 	// checkpoint (0 when none). Checkpoints carry the pseudo-labels (8 B
 	// each, 0.8 MB per family at L=10^5), so the poll response only
 	// advertises the seq; the gateway fetches the snapshot from
-	// /checkpoint when it advances.
+	// /checkpoint once a running execution has advertised it for a poll
+	// interval.
 	CheckpointSeq uint64 `json:"checkpoint_seq,omitempty"`
 	// Result is set once Status is done; Error once it is failed.
 	Result *Result `json:"result,omitempty"`
@@ -132,6 +140,17 @@ type execution struct {
 	result     *Result
 	err        error
 	finishedAt time.Time
+	// changed is closed and replaced (under mu) when the status turns
+	// terminal or the checkpoint seq advances — the two events a held
+	// status poll answers. Plain progress ticks leave it alone.
+	changed chan struct{}
+}
+
+// notifyLocked wakes every status poll held on the execution. Caller
+// holds ex.mu.
+func (ex *execution) notifyLocked() {
+	close(ex.changed)
+	ex.changed = make(chan struct{})
 }
 
 // NewExecServer returns an execution server over exec. Close it to
@@ -275,7 +294,7 @@ func (s *ExecServer) handleStart(w http.ResponseWriter, r *http.Request) {
 	id := fmt.Sprintf("exec-%s-%06d", s.bootID, s.nextID)
 	ctx, cancel := context.WithCancel(s.ctx)
 	ctx = telemetry.WithRequestID(ctx, rid)
-	ex := &execution{id: id, requestID: rid, cancel: cancel, status: StatusRunning}
+	ex := &execution{id: id, requestID: rid, cancel: cancel, status: StatusRunning, changed: make(chan struct{})}
 	s.execs[id] = ex
 	s.started++
 	s.active++
@@ -294,11 +313,12 @@ func (s *ExecServer) run(ex *execution, req Request, ctx context.Context) {
 	defer ex.cancel()
 	result, err := s.exec.Execute(ctx, req, func(p Progress) {
 		ex.mu.Lock()
+		advanced := p.checkpointSeq() != ex.progress.checkpointSeq()
 		ex.progress = p
-		ex.mu.Unlock()
-		if faultinject.Enabled() {
-			s.maybeFaultExit(p)
+		if advanced {
+			ex.notifyLocked()
 		}
+		ex.mu.Unlock()
 	})
 
 	ex.mu.Lock()
@@ -314,6 +334,7 @@ func (s *ExecServer) run(ex *execution, req Request, ctx context.Context) {
 		ex.result = result
 	}
 	status := ex.status
+	ex.notifyLocked()
 	ex.mu.Unlock()
 
 	s.mu.Lock()
@@ -360,6 +381,14 @@ func (s *ExecServer) handleStatus(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, errNotFound, fmt.Errorf("unknown execution %s", id))
 		return
 	}
+	wait, after, err := parseStatusWait(r.URL.Query())
+	if err != nil {
+		writeError(w, http.StatusBadRequest, errBadRequest, err)
+		return
+	}
+	if wait > 0 && !s.hold(r.Context(), ex, wait, after) {
+		return // the caller went away
+	}
 	ex.mu.Lock()
 	resp := execStatusResponse{ID: ex.id, Status: ex.status, Progress: ex.progress, RequestID: ex.requestID, Result: ex.result}
 	resp.CheckpointSeq = ex.progress.checkpointSeq()
@@ -370,9 +399,54 @@ func (s *ExecServer) handleStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// parseStatusWait reads a status poll's long-poll parameters: wait (a
+// duration, capped at maxStatusWait; absent means answer at once) and
+// after (the checkpoint seq the caller already knows, default 0).
+func parseStatusWait(q url.Values) (wait time.Duration, after uint64, err error) {
+	if v := q.Get("wait"); v != "" {
+		if wait, err = time.ParseDuration(v); err != nil || wait < 0 {
+			return 0, 0, fmt.Errorf("bad wait %q: want a non-negative duration such as 150ms", v)
+		}
+		wait = min(wait, maxStatusWait)
+	}
+	if v := q.Get("after"); v != "" {
+		if after, err = strconv.ParseUint(v, 10, 64); err != nil {
+			return 0, 0, fmt.Errorf("bad after %q: want a checkpoint seq", v)
+		}
+	}
+	return wait, after, nil
+}
+
+// hold blocks a status poll until the execution turns terminal, its
+// checkpoint seq passes after, wait elapses or the server closes. It
+// reports false when ctx (the poll's request) ended first.
+func (s *ExecServer) hold(ctx context.Context, ex *execution, wait time.Duration, after uint64) bool {
+	timer := time.NewTimer(wait)
+	defer timer.Stop()
+	for {
+		ex.mu.Lock()
+		ready := ex.status.Terminal() || ex.progress.checkpointSeq() > after
+		changed := ex.changed
+		ex.mu.Unlock()
+		if ready {
+			return true
+		}
+		select {
+		case <-changed:
+		case <-timer.C:
+			return true
+		case <-s.ctx.Done():
+			return true
+		case <-ctx.Done():
+			return false
+		}
+	}
+}
+
 // handleCheckpoint serves the newest resumable checkpoint of an
-// execution. The gateway calls it when the status poll's seq advances,
-// keeping the snapshot off the hot polling path.
+// execution. The gateway calls it once a running execution's seq has
+// been advertised for a poll interval, keeping the snapshot off the hot
+// polling path.
 func (s *ExecServer) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	ex, ok := s.lookup(id)
@@ -388,29 +462,29 @@ func (s *ExecServer) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, cp)
+	if faultinject.Enabled() {
+		s.maybeFaultExit(w, cp.Timings)
+	}
 }
 
-// maybeFaultExit implements the "exec.exit-after" fault point: once a
-// span whose name starts with the armed prefix closes, the process
-// exits after "exec.exit.delay" (default immediately) — simulating a
-// worker crash mid-execution, after some stages already checkpointed.
-// The delay gives the gateway's poller time to fetch the checkpoint,
-// like a real crash that happens between polls.
-func (s *ExecServer) maybeFaultExit(p Progress) {
+// maybeFaultExit implements the "exec.exit-after" fault point: once the
+// worker has served a checkpoint whose spans include one starting with
+// the armed prefix, it flushes the response and exits — simulating a
+// worker crash mid-execution, right after the gateway obtained a
+// checkpoint covering the armed stage.
+func (s *ExecServer) maybeFaultExit(w http.ResponseWriter, timings []StageTiming) {
 	prefix, ok := faultinject.Value("exec.exit-after")
 	if !ok || prefix == "" {
 		return
 	}
-	for _, t := range p.Timings {
+	for _, t := range timings {
 		if strings.HasPrefix(t.Stage, prefix) {
 			if faultinject.Once("exec.exit-after") {
-				delay := faultinject.Duration("exec.exit.delay")
-				s.log.Warn("faultinject: worker exiting after stage",
-					"stage", t.Stage, "delay", delay.String())
-				go func() {
-					time.Sleep(delay)
-					os.Exit(3)
-				}()
+				s.log.Warn("faultinject: worker exiting after serving a checkpoint", "stage", t.Stage)
+				// Put the served checkpoint on the wire before dying; a
+				// failed flush leaves nothing better to do than exit.
+				_ = http.NewResponseController(w).Flush()
+				os.Exit(3)
 			}
 			return
 		}

@@ -9,6 +9,8 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"net/url"
+	"strconv"
 	"strings"
 	"time"
 
@@ -17,9 +19,9 @@ import (
 )
 
 // RemoteExecutor runs requests on a redsserver worker through the
-// internal execution API: POST starts the execution, GET polls progress
-// until a terminal status, DELETE cancels (and acknowledges terminal
-// polls so the worker can release the entry early).
+// internal execution API: POST starts the execution, GET long-polls
+// progress until a terminal status, DELETE cancels (and acknowledges
+// terminal polls so the worker can release the entry early).
 //
 // Failures split into two classes the caller can tell apart:
 //
@@ -35,7 +37,10 @@ type RemoteExecutor struct {
 	// Client defaults to a client with a 10s per-request timeout. The
 	// timeout bounds individual polls, not the whole execution.
 	Client *http.Client
-	// PollInterval is the progress-polling period (default 150ms).
+	// PollInterval is the longest a worker holds a status poll (default
+	// 150ms): a held poll returns early when the execution turns
+	// terminal or advertises a new checkpoint. A running execution's
+	// checkpoint is fetched once its seq has been advertised this long.
 	PollInterval time.Duration
 	// AttemptTimeout bounds every individual HTTP call with its own
 	// context deadline (default 10s). A worker that accepts the TCP
@@ -85,6 +90,17 @@ func (r *RemoteExecutor) pollInterval() time.Duration {
 		return r.PollInterval
 	}
 	return 150 * time.Millisecond
+}
+
+// pollWait is how long a status poll asks the worker to hold it:
+// PollInterval, clamped to half the per-attempt deadline and half the
+// client timeout, so a healthy hold never reads as a transient failure.
+func (r *RemoteExecutor) pollWait() time.Duration {
+	wait := min(r.pollInterval(), r.attemptTimeout()/2)
+	if t := r.client().Timeout; t > 0 {
+		wait = min(wait, t/2)
+	}
+	return wait
 }
 
 func (r *RemoteExecutor) attemptTimeout() time.Duration {
@@ -170,18 +186,24 @@ func (r *RemoteExecutor) Execute(ctx context.Context, req Request, onProgress fu
 		return nil, err
 	}
 
-	t := time.NewTicker(r.pollInterval())
-	defer t.Stop()
-	var last Progress
-	var lastCP *Checkpoint
+	wait := r.pollWait()
+	var (
+		last   Progress
+		lastCP *Checkpoint
+		// seq is the newest checkpoint seq the worker advertised;
+		// cpDue, when set, is when a running execution's unfetched seq
+		// will have been advertised for one wait and its snapshot is
+		// fetched.
+		seq   uint64
+		cpDue time.Time
+	)
 	for {
-		select {
-		case <-ctx.Done():
-			r.release(id)
-			return nil, ctx.Err()
-		case <-t.C:
+		hold := wait
+		if !cpDue.IsZero() {
+			hold = max(min(hold, time.Until(cpDue)), 0)
 		}
-		st, err := r.poll(ctx, id)
+		sent := time.Now()
+		st, err := r.poll(ctx, id, hold, seq)
 		if err != nil {
 			if ctx.Err() != nil {
 				r.release(id)
@@ -189,13 +211,24 @@ func (r *RemoteExecutor) Execute(ctx context.Context, req Request, onProgress fu
 			}
 			return nil, err
 		}
+		news := st.Status.Terminal() || st.CheckpointSeq > seq
+		seq = max(seq, st.CheckpointSeq)
 		// A new checkpoint seq means the worker has more resumable work
-		// recorded; fetch the snapshot so the dispatcher can forward it
-		// if this worker dies. Best-effort: a failed fetch leaves lastCP
-		// behind and the next poll tries again.
-		if st.CheckpointSeq > 0 && (lastCP == nil || st.CheckpointSeq > lastCP.Seq) {
-			if cp, err := r.fetchCheckpoint(ctx, id); err == nil && cp != nil {
-				lastCP = cp
+		// recorded. Fetch the snapshot (so the dispatcher can forward it
+		// if this worker dies) only once a running execution has kept
+		// advertising it for one wait: a job that finishes sooner never
+		// ships the checkpoint it finished past, and a terminal one never
+		// needs it. Best-effort: a failed fetch leaves lastCP behind and
+		// re-arms for the next wait.
+		if !st.Status.Terminal() && seq > lastCP.seq() {
+			if cpDue.IsZero() {
+				cpDue = time.Now().Add(wait)
+			} else if !time.Now().Before(cpDue) {
+				if cp, err := r.fetchCheckpoint(ctx, id); err == nil && cp != nil {
+					lastCP = cp
+					seq = max(seq, cp.Seq)
+				}
+				cpDue = time.Time{}
 			}
 		}
 		st.Progress.Checkpoint = lastCP
@@ -220,6 +253,16 @@ func (r *RemoteExecutor) Execute(ctx context.Context, req Request, onProgress fu
 			// The worker canceled without us asking (it is shutting
 			// down); from the gateway's view the worker went away.
 			return nil, fmt.Errorf("engine: worker %s canceled the execution: %w", r.BaseURL, ErrUnavailable)
+		}
+		// A worker that ignores wait answers at once; sleep out the rest
+		// of the hold so it is polled no faster than once a wait.
+		if rest := hold - time.Since(sent); !news && rest > 0 {
+			select {
+			case <-ctx.Done():
+				r.release(id)
+				return nil, ctx.Err()
+			case <-time.After(rest):
+			}
 		}
 	}
 }
@@ -274,13 +317,22 @@ func (r *RemoteExecutor) start(ctx context.Context, body []byte) (string, error)
 	return id, err
 }
 
-// poll GETs the execution's current state, retrying transient failures
-// within the budget. A 404 is definitive — the worker restarted and
-// lost the execution — and fails over immediately.
-func (r *RemoteExecutor) poll(ctx context.Context, id string) (*execStatusResponse, error) {
+// poll GETs the execution's state, retrying transient failures within
+// the budget. A positive wait asks the worker to hold the request until
+// the execution turns terminal, its checkpoint seq passes after, or
+// wait elapses. A 404 is definitive — the worker restarted and lost the
+// execution — and fails over immediately.
+func (r *RemoteExecutor) poll(ctx context.Context, id string, wait time.Duration, after uint64) (*execStatusResponse, error) {
+	u := r.execURL(id)
+	if wait > 0 {
+		u += "?" + url.Values{
+			"wait":  {wait.String()},
+			"after": {strconv.FormatUint(after, 10)},
+		}.Encode()
+	}
 	var st *execStatusResponse
 	err := r.withRetry(ctx, "poll", func(actx context.Context) (bool, error) {
-		hreq, err := http.NewRequestWithContext(actx, http.MethodGet, r.execURL(id), nil)
+		hreq, err := http.NewRequestWithContext(actx, http.MethodGet, u, nil)
 		if err != nil {
 			return false, fmt.Errorf("engine: building poll request: %w", err)
 		}
@@ -312,8 +364,8 @@ func (r *RemoteExecutor) poll(ctx context.Context, id string) (*execStatusRespon
 }
 
 // fetchCheckpoint GETs the execution's newest resumable checkpoint.
-// One attempt under the per-attempt deadline: the caller re-fetches on
-// the next poll if this one fails.
+// One attempt under the per-attempt deadline: the caller re-fetches a
+// wait later if this one fails.
 func (r *RemoteExecutor) fetchCheckpoint(ctx context.Context, id string) (*Checkpoint, error) {
 	actx, cancel := context.WithTimeout(ctx, r.attemptTimeout())
 	defer cancel()

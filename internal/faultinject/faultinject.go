@@ -10,7 +10,12 @@
 //	exec.start.delay=200ms,exec.exit-after=discover/,store.wal.torn=once
 //
 // The names are free-form: each call site defines the point it consults
-// (see docs/ARCHITECTURE.md "Fault injection" for the wired points).
+// (see docs/ARCHITECTURE.md "Fault injection"). The wired points are
+// exec.start.delay and exec.status.delay (hold the handler),
+// exec.start.drop and exec.status.drop (drop one connection),
+// exec.exit-after=<span prefix> (exit the worker right after it served
+// a checkpoint covering a matching span) and store.wal.torn (tear one
+// WAL append).
 // Values are interpreted by the helper the call site uses — Duration
 // parses them with time.ParseDuration, Once fires at most one time per
 // armed spec regardless of value, and Value hands back the raw string.

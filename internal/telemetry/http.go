@@ -67,6 +67,10 @@ func (w *statusWriter) WriteHeader(status int) {
 	w.ResponseWriter.WriteHeader(status)
 }
 
+// Unwrap exposes the wrapped writer to http.ResponseController, so
+// handlers behind the middleware can still flush.
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
 // NewLogger builds the structured logger both binaries hang off their
 // -log.level and -log.format flags: level is debug, info, warn or
 // error; format is "json" (the default — one object per line, ready

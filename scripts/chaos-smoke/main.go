@@ -7,7 +7,9 @@
 //   - a worker is registered at runtime through the worker-admin API and
 //     receives traffic,
 //   - the worker owning a multi-variant job is killed mid-execution (the
-//     exec.exit-after fault point), and the job still completes — resumed
+//     exec.exit-after fault point: it exits right after the gateway has
+//     fetched a checkpoint covering a finished discover variant, while
+//     the job is still running), and the job still completes — resumed
 //     from its forwarded checkpoint, with no duplicated train/label work
 //     (reds_engine_checkpoint_resumes_total ≥ 1 on the survivors),
 //   - a dropped status-poll connection (exec.status.drop) is absorbed by
@@ -112,14 +114,14 @@ func run() error {
 		return c
 	}
 
-	// w1 carries the kill fault: once any discover span closes, the
-	// process exits — after a delay long enough for the gateway's 50ms
-	// poller to fetch the inlined-dataset checkpoint (a multi-MB
-	// payload), like a crash that strikes between polls. w2
-	// drops one status-poll connection to exercise the retry budget. w3
-	// starts clean and outside the gateway's initial worker set: it
-	// joins through the admin API.
-	w1 := worker(worker1Addr, "w1", "exec.exit-after=discover/,exec.exit.delay=3s")
+	// w1 carries the kill fault: the process exits as soon as it has
+	// served the gateway a checkpoint that covers a closed discover span
+	// — like a crash that strikes right after a checkpoint was fetched,
+	// while the job's other variants still run. w2 drops one
+	// status-poll connection to exercise the retry budget. w3 starts
+	// clean and outside the gateway's initial worker set: it joins
+	// through the admin API.
+	w1 := worker(worker1Addr, "w1", "exec.exit-after=discover/")
 	w2 := worker(worker2Addr, "w2", "exec.status.drop=1")
 	w3 := worker(worker3Addr, "w3", "")
 	gw := exec.Command(filepath.Join(bin, "redsgateway"), "-addr", gatewayAddr,
@@ -192,19 +194,32 @@ func run() error {
 		return fmt.Errorf("submitting chaos job: %w", err)
 	}
 
-	// The fault must actually kill w1 (exit code 3, not a crash).
+	// The fault must actually kill w1 (exit code 3, not a crash), and
+	// while the chaos job still runs: a job that finished first
+	// exercised no failover.
 	w1exit := make(chan error, 1)
 	go func() { w1exit <- w1.Wait() }()
-	select {
-	case <-w1exit:
-		if code := w1.ProcessState.ExitCode(); code != 3 {
-			return fmt.Errorf("w1 exited with code %d, want the fault's exit code 3", code)
+	giveUp := time.After(120 * time.Second)
+	for exited := false; !exited; {
+		select {
+		case <-w1exit:
+			exited = true
+		case <-giveUp:
+			return fmt.Errorf("exec.exit-after fault never fired on w1")
+		case <-time.After(100 * time.Millisecond):
+			if err := checkChaosJobRunning(chaosID); err != nil {
+				return err
+			}
 		}
-		procs[0] = nil // already reaped
-		log.Printf("w1 killed itself mid-job (fault fired)")
-	case <-time.After(120 * time.Second):
-		return fmt.Errorf("exec.exit-after fault never fired on w1")
 	}
+	if code := w1.ProcessState.ExitCode(); code != 3 {
+		return fmt.Errorf("w1 exited with code %d, want the fault's exit code 3", code)
+	}
+	procs[0] = nil // already reaped
+	if err := checkChaosJobRunning(chaosID); err != nil {
+		return err
+	}
+	log.Printf("w1 killed itself mid-job (fault fired)")
 
 	if err := waitDone(chaosID, 180*time.Second); err != nil {
 		return fmt.Errorf("chaos job after worker death: %w", err)
@@ -294,6 +309,21 @@ func ownedSeed(target string) int64 {
 		}
 	}
 	panic("no seed in 1..10000 routes to " + target) // 3 workers: unreachable
+}
+
+// checkChaosJobRunning fails once the chaos job is terminal on the
+// gateway before w1 died: then the job never needed its checkpoint.
+func checkChaosJobRunning(id string) error {
+	var snap struct {
+		Status string `json:"status"`
+	}
+	if err := getJSON(fmt.Sprintf("%s/v1/jobs/%s", gatewayURL, id), &snap); err != nil {
+		return fmt.Errorf("chaos job snapshot: %w", err)
+	}
+	if snap.Status != "pending" && snap.Status != "running" {
+		return fmt.Errorf("chaos job finished before the fault fired; no failover was exercised (status %s)", snap.Status)
+	}
+	return nil
 }
 
 // checkChaosTrace asserts the resumed job's trace carries no duplicated
